@@ -36,6 +36,7 @@ use pipad_serve::{
 };
 use pipad_tensor::with_pool_enabled;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Hidden dimension for every leg.
 const HIDDEN: usize = 16;
@@ -45,7 +46,7 @@ const EVERY_EPOCHS: usize = 2;
 /// The guarded metrics: flat key (as produced by
 /// [`MetricsRegistry::flat`]), absolute tolerance, relative tolerance.
 /// A current value passes iff `|cur − base| ≤ tol_abs + tol_rel·|base|`.
-const SENTINEL: [(&str, f64, f64); 6] = [
+const SENTINEL: [(&str, f64, f64); 7] = [
     // Pipelining quality: compute↔transfer overlap in the steady window
     // (milli-fraction of transfer time hidden under kernels).
     (
@@ -73,6 +74,9 @@ const SENTINEL: [(&str, f64, f64); 6] = [
     ("pipad_serve_latency_ns_p95", 0.0, 0.10),
     // Multi-GPU communication share: allreduce time per steady epoch.
     ("pipad_mgpu_allreduce_fraction_milli{gpus=\"2\"}", 50.0, 0.0),
+    // Multi-GPU end-to-end steady epoch time (CUDA-graph replay in steady
+    // epochs; reverting to per-kernel launches multiplies it ~6×).
+    ("pipad_mgpu_steady_epoch_ns{gpus=\"2\"}", 0.0, 0.10),
 ];
 
 /// Everything `repro profile` produces.
@@ -235,7 +239,14 @@ fn multigpu_leg(reg: &mut MetricsRegistry, scale: RunScale) {
 fn serve_leg(reg: &mut MetricsRegistry, scale: RunScale) {
     let graph = dataset(DatasetId::Covid19England, scale);
     let cfg = default_training_config(scale);
-    let dir = std::env::temp_dir().join(format!("pipad-profile-{}", std::process::id()));
+    // One directory per call: concurrent profiles in one process (parallel
+    // tests) must not delete each other's checkpoints.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "pipad-profile-{}-{}",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut tg = Gpu::new(DeviceConfig::v100());

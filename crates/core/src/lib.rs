@@ -69,7 +69,7 @@ pub use checkpoint::{
     RunFingerprint,
 };
 pub use exec::PipadExecutor;
-pub use multigpu::{partition_rows, train_data_parallel, MultiGpuConfig, MultiTrainReport};
+pub use multigpu::{train_data_parallel, MultiGpuConfig, MultiTrainReport};
 pub use prep::{PartitionCatalog, PartitionPlan};
 pub use reuse::{shard_key, CpuAggStore, GpuAggCache, InterFrameReuse};
 pub use trainer::{train_pipad, PipadConfig};

@@ -95,18 +95,6 @@ impl Default for MultiGpuConfig {
     }
 }
 
-/// Contiguous vertex ranges, one per device (uniform row split; the
-/// trainer itself uses the nnz-balanced
-/// [`pipad_sparse::partition_rows_balanced`]).
-pub fn partition_rows(n: usize, parts: usize) -> Vec<(usize, usize)> {
-    assert!(parts >= 1);
-    let per = n.div_ceil(parts);
-    (0..parts)
-        .map(|p| (p * per, ((p + 1) * per).min(n)))
-        .filter(|(lo, hi)| lo < hi)
-        .collect()
-}
-
 /// Report of a data-parallel run.
 #[derive(Clone, Debug)]
 pub struct MultiTrainReport {
@@ -476,6 +464,7 @@ pub fn train_data_parallel(
             allreduce_bytes_epoch = 0;
             allreduce_time_total = SimNanos::ZERO;
         }
+        let steady = epoch >= preparing;
         let mut losses = Vec::new();
         for frame in FrameIter::new(graph, cfg.window) {
             let nslots = frame.len();
@@ -609,20 +598,27 @@ pub fn train_data_parallel(
             }
 
             // --- forward + sweep-1 backward, ascending shard order --------
+            // In steady epochs each shard's forward and backward replay as
+            // one CUDA graph on its device's compute stream.
             let target_full = graph.target_for(frame.last_index());
             let mut tapes: Vec<Tape> = Vec::with_capacity(shards);
             let mut binders = Vec::with_capacity(shards);
             let mut frame_sse = 0.0f32;
             for s in 0..shards {
                 let p = owner[s];
+                let compute = streams[p].0;
                 let gpu = &mut gpus[p];
+                let model = &models[p];
                 let mut exec = execs[s].take().unwrap();
-                let mut tape = Tape::new(streams[p].0);
-                let out = models[p].forward_frame(gpu, &mut tape, &mut exec)?;
+                let mut tape = Tape::new(compute);
                 let (lo, hi) = shard_ranges[s];
                 let t_local = target_full.slice_rows(lo, hi);
+                let out = gpu.graph_scope_if(compute, steady, |gpu| -> Result<_, OomError> {
+                    let out = model.forward_frame(gpu, &mut tape, &mut exec)?;
+                    tape.backward_mse_denom(gpu, out.pred, &t_local, denom_u)?;
+                    Ok(out)
+                })?;
                 frame_sse += tape.sse_loss(gpu, out.pred, &t_local);
-                tape.backward_mse_denom(gpu, out.pred, &t_local, denom_u)?;
                 t_local.recycle();
                 for (slot, m) in exec.computed_aggs.drain(..) {
                     if mcfg.reuse {
@@ -642,17 +638,25 @@ pub fn train_data_parallel(
             // block (ascending producer order) and inject at q's own H1.
             // The mirrored scatter moves the same aggregate volume as the
             // forward gather; it is charged per shard by its forward halo.
+            // Devices own contiguous ascending shard groups, so one graph
+            // scope per device keeps the order of q and of every sum.
             if hidden_agg {
-                for q in 0..shards {
-                    for i in 0..nslots {
-                        let mut seed: Option<Matrix> = None;
-                        for src in 0..shards {
-                            if src == q {
-                                continue;
-                            }
-                            let leaves = &execs[src].as_ref().unwrap().halo_leaves[q];
-                            if let Some(&(_, leaf)) = leaves.iter().find(|&&(slot, _)| slot == i) {
-                                if let Some(g) = tapes[src].grad(leaf) {
+                for (p, &(glo, ghi)) in groups.iter().enumerate() {
+                    let compute = streams[p].0;
+                    let inject = |gpu: &mut Gpu| -> Result<_, OomError> {
+                        for q in glo..ghi {
+                            for i in 0..nslots {
+                                let mut seed: Option<Matrix> = None;
+                                for src in (0..shards).filter(|&src| src != q) {
+                                    let leaves = &execs[src].as_ref().unwrap().halo_leaves[q];
+                                    let Some(&(_, leaf)) =
+                                        leaves.iter().find(|&&(slot, _)| slot == i)
+                                    else {
+                                        continue;
+                                    };
+                                    let Some(g) = tapes[src].grad(leaf) else {
+                                        continue;
+                                    };
                                     match seed.as_mut() {
                                         None => seed = Some(g),
                                         Some(acc) => {
@@ -661,29 +665,30 @@ pub fn train_data_parallel(
                                         }
                                     }
                                 }
+                                let Some(seed) = seed else {
+                                    continue;
+                                };
+                                let bytes = shard_norms[q][frame.global_index(i)].halo_cols
+                                    * hidden as u64
+                                    * 4;
+                                if bytes > 0 {
+                                    let dur = SimNanos::from_bytes(bytes, mcfg.p2p_bytes_per_us);
+                                    let (_, he) = gpu.host_op("p2p_halo", host_cursors[p], dur);
+                                    host_cursors[p] = he;
+                                    gpu.stream_wait_host(compute, he);
+                                    frame_halo += bytes;
+                                }
+                                let root = execs[q].as_ref().unwrap().hidden_vars[i];
+                                let dm = DeviceMatrix::alloc(gpu, seed)?;
+                                tapes[q].backward_seed_only(gpu, root, dm)?;
                             }
                         }
-                        if let Some(seed) = seed {
-                            let p = owner[q];
-                            let (compute, _) = streams[p];
-                            let gpu = &mut gpus[p];
-                            let bytes =
-                                shard_norms[q][frame.global_index(i)].halo_cols * hidden as u64 * 4;
-                            if bytes > 0 {
-                                let dur = SimNanos::from_bytes(bytes, mcfg.p2p_bytes_per_us);
-                                let (_, he) = gpu.host_op("p2p_halo", host_cursors[p], dur);
-                                host_cursors[p] = he;
-                                gpu.stream_wait_host(compute, he);
-                                frame_halo += bytes;
-                            }
-                            let root = execs[q].as_ref().unwrap().hidden_vars[i];
-                            let dm = DeviceMatrix::alloc(gpu, seed)?;
-                            tapes[q].backward_seed_only(gpu, root, dm)?;
-                        }
-                    }
+                        Ok(())
+                    };
+                    gpus[p].graph_scope_if(compute, steady, inject)?;
                 }
             }
-            if epoch >= preparing {
+            if steady {
                 halo_bytes_epoch += frame_halo;
             }
 
@@ -726,7 +731,7 @@ pub fn train_data_parallel(
                     let (_, e) = gpus[p].host_op("allreduce", sync_base, dur);
                     host_cursors[p] = e;
                 }
-                if epoch >= preparing {
+                if steady {
                     allreduce_bytes_epoch += allreduce_bytes * parts as u64;
                     allreduce_time_total += dur;
                 }
@@ -844,16 +849,6 @@ mod tests {
                 seed: 5,
             },
         )
-    }
-
-    #[test]
-    fn partition_covers_all_rows() {
-        let parts = partition_rows(10, 3);
-        assert_eq!(parts, vec![(0, 4), (4, 8), (8, 10)]);
-        // degenerate: more devices than rows → empty ranges dropped
-        let tiny = partition_rows(4, 8);
-        assert_eq!(tiny.len(), 4);
-        assert!(tiny.iter().all(|&(lo, hi)| hi == lo + 1));
     }
 
     #[test]

@@ -461,6 +461,21 @@ impl Gpu {
         r
     }
 
+    /// [`Gpu::graph_scope`] when `on`, a plain call of `f` otherwise — the
+    /// trainers' rule of capturing only steady epochs.
+    pub fn graph_scope_if<R>(
+        &mut self,
+        stream: StreamId,
+        on: bool,
+        f: impl FnOnce(&mut Gpu) -> R,
+    ) -> R {
+        if on {
+            self.graph_scope(stream, f)
+        } else {
+            f(self)
+        }
+    }
+
     /// Launch a kernel as part of a captured CUDA graph (reduced overhead).
     /// Usually reached through [`crate::CudaGraph::replay`].
     pub fn launch_graphed(&mut self, stream: StreamId, cost: &KernelCost) -> Event {

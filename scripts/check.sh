@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 gate plus the determinism contracts.
 #
-# Builds the workspace, lints it, runs the full test suite, then re-runs
-# the determinism suites under forced thread counts (PIPAD_THREADS=1 and
-# =4): the host-parallel bit-exactness contract, the trace-export
-# byte-identity contract (golden Chrome-trace regression), the
+# Builds the workspace, lints it, runs the root test suite in a debug
+# build (so the debug-only consistency checks fire), runs the test suite
+# of every workspace crate in release (crate-level unit tests included),
+# then re-runs the determinism suites under forced thread counts
+# (PIPAD_THREADS=1 and =4): the host-parallel bit-exactness contract, the
+# trace-export byte-identity contract (golden Chrome-trace regression), the
 # allocation-budget gate (steady-state epochs must stay ≥95% below the
 # preparing epochs' hot-path heap allocations, under a pinned budget),
 # the buffer-pool kill-switch equivalence gate, the chaos gate
@@ -35,6 +37,9 @@ cargo clippy --workspace -- -D warnings
 
 echo "== cargo test -q =="
 cargo test -q
+
+echo "== cargo test -q --release --workspace =="
+cargo test -q --release --workspace
 
 echo "== bit-exactness @ PIPAD_THREADS=1 =="
 PIPAD_THREADS=1 cargo test -q --test host_parallel_exactness
