@@ -126,7 +126,10 @@ enum Op {
 
 struct Node {
     value: Value,
-    grad: Option<DeviceMatrix>,
+    /// Gradient handle. Pass-through ops (`add`, `add_bias`'s input,
+    /// `sub`'s left side) hand their upstream gradient to their inputs as
+    /// another handle to the same buffer instead of copying it.
+    grad: Option<Rc<DeviceMatrix>>,
     op: Op,
     requires_grad: bool,
     category: KernelCategory,
@@ -173,7 +176,8 @@ impl Tape {
         self.nodes[v.0].requires_grad
     }
 
-    fn shape(&self, v: Var) -> (usize, usize) {
+    /// Shape of a node's value (no copy).
+    pub fn shape(&self, v: Var) -> (usize, usize) {
         self.dev(v).host().shape()
     }
 
@@ -187,7 +191,9 @@ impl Tape {
         f(self.dev(v).host())
     }
 
-    /// Accumulated gradient of a node, if backward reached it.
+    /// Accumulated gradient of a leaf ([`Tape::param`] or
+    /// [`Tape::input_grad`]), if backward reached it. Interior gradients
+    /// are released during the reverse sweep, so this is `None` for them.
     pub fn grad(&self, v: Var) -> Option<Matrix> {
         self.nodes[v.0].grad.as_ref().map(|g| g.host().clone_in())
     }
@@ -820,17 +826,18 @@ impl Tape {
 
     /// Run a reverse sweep from `root` that deposits **only** the
     /// contributions of `seed`, merging into gradients already present from
-    /// earlier sweeps instead of double-counting them: grads of nodes at or
-    /// below `root` are stashed, the sweep runs on a clean slate, and the
-    /// stash is added back. The sharded trainer's second sweep injects
-    /// cross-shard halo gradients at interior activations this way.
+    /// earlier sweeps instead of double-counting them: leaf grads at or
+    /// below `root` (the only ones an earlier sweep leaves behind) are
+    /// stashed, the sweep runs on a clean slate, and the stash is added
+    /// back. The sharded trainer's second sweep injects cross-shard halo
+    /// gradients at interior activations this way.
     pub fn backward_seed_only(
         &mut self,
         gpu: &mut Gpu,
         root: Var,
         seed: DeviceMatrix,
     ) -> Result<(), OomError> {
-        let mut stash: Vec<(usize, DeviceMatrix)> = Vec::new();
+        let mut stash: Vec<(usize, Rc<DeviceMatrix>)> = Vec::new();
         for i in 0..=root.0 {
             if let Some(g) = self.nodes[i].grad.take() {
                 stash.push((i, g));
@@ -844,6 +851,9 @@ impl Tape {
     }
 
     /// Run the reverse sweep from `root` with an explicit seed gradient.
+    /// Each interior node's gradient is released right after its own
+    /// backward step; only leaves ([`Tape::param`], [`Tape::input_grad`])
+    /// keep theirs.
     pub fn backward_from(
         &mut self,
         gpu: &mut Gpu,
@@ -852,15 +862,31 @@ impl Tape {
     ) -> Result<(), OomError> {
         self.accumulate(gpu, root, seed)?;
         for i in (0..=root.0).rev() {
-            if self.nodes[i].grad.is_none() || !self.nodes[i].requires_grad {
+            let node = &self.nodes[i];
+            if !node.requires_grad || matches!(node.op, Op::Input | Op::Param) {
                 continue;
             }
-            self.step_backward(gpu, Var(i))?;
+            // Detach the gradient for the step (children never alias their
+            // own parents in a DAG built forward-only).
+            let Some(g) = self.nodes[i].grad.take() else {
+                continue;
+            };
+            let stepped = self.step_backward(gpu, Var(i), &g);
+            release_grad(gpu, g);
+            stepped?;
         }
         Ok(())
     }
 
-    fn accumulate(&mut self, gpu: &mut Gpu, v: Var, g: DeviceMatrix) -> Result<(), OomError> {
+    /// Add `g` into `v`'s gradient: an empty slot takes the handle, an
+    /// occupied one sums into a fresh buffer.
+    fn accumulate(
+        &mut self,
+        gpu: &mut Gpu,
+        v: Var,
+        g: impl Into<Rc<DeviceMatrix>>,
+    ) -> Result<(), OomError> {
+        let g = g.into();
         debug_assert_eq!(
             self.shape(v),
             (g.rows(), g.cols()),
@@ -871,23 +897,61 @@ impl Tape {
             Some(prev) => {
                 let cat = self.nodes[v.0].category;
                 let sum = k::add(gpu, self.stream, &prev, &g, cat)?;
-                prev.release(gpu);
-                g.release(gpu);
-                self.nodes[v.0].grad = Some(sum);
+                release_grad(gpu, prev);
+                release_grad(gpu, g);
+                self.nodes[v.0].grad = Some(Rc::new(sum));
             }
         }
         Ok(())
     }
 
-    fn step_backward(&mut self, gpu: &mut Gpu, v: Var) -> Result<(), OomError> {
+    /// Add a slice's gradient `g` into its parent `x`'s at `(row0, col0)`.
+    /// The first contribution lands in a zeroed parent-shaped buffer with
+    /// no kernel (the forward was a view); later ones add in place over
+    /// the slice's own elements. A parent gradient still shared with a
+    /// sibling is copied first, so the sibling's value never changes.
+    fn accumulate_slice(
+        &mut self,
+        gpu: &mut Gpu,
+        x: Var,
+        g: &DeviceMatrix,
+        row0: usize,
+        col0: usize,
+    ) -> Result<(), OomError> {
+        let cat = self.nodes[x.0].category;
+        let grad = match self.nodes[x.0].grad.take() {
+            None => {
+                let (rows, cols) = self.shape(x);
+                let mut padded = Matrix::zeros_in(rows, cols);
+                for r in 0..g.rows() {
+                    padded.row_mut(row0 + r)[col0..col0 + g.cols()]
+                        .copy_from_slice(g.host().row(r));
+                }
+                DeviceMatrix::alloc(gpu, padded)?
+            }
+            Some(prev) => {
+                let mut own = match Rc::try_unwrap(prev) {
+                    Ok(m) => m,
+                    Err(shared) => k::scale(gpu, self.stream, &shared, 1.0, cat)?,
+                };
+                k::add_slice(gpu, self.stream, &mut own, g, row0, col0, cat);
+                own
+            }
+        };
+        self.nodes[x.0].grad = Some(Rc::new(grad));
+        Ok(())
+    }
+
+    fn step_backward(
+        &mut self,
+        gpu: &mut Gpu,
+        v: Var,
+        g: &Rc<DeviceMatrix>,
+    ) -> Result<(), OomError> {
         let cat = self.nodes[v.0].category;
         let s = self.stream;
-        // Detach this node's gradient for the duration of the step (children
-        // never alias their own parents in a DAG built forward-only).
-        let g = self.nodes[v.0].grad.take().expect("grad present");
 
         enum Plan {
-            None,
             MatMul(Var, Var),
             Spmm(Rc<Csr>, Var, AggregationKernel),
             SpmmSliced(Rc<SlicedCsr>, Var, usize),
@@ -909,12 +973,12 @@ impl Tape {
             Tanh(Var),
             Relu(Var),
             Concat(Vec<Var>),
-            Slice(Var, usize),
             ConcatR(Vec<Var>),
-            SliceR(Var, usize),
+            /// Parent and the slice's `(row, col)` offset in it.
+            Slice(Var, usize, usize),
         }
         let plan = match &self.nodes[v.0].op {
-            Op::Input | Op::Param => Plan::None,
+            Op::Input | Op::Param => unreachable!("leaves have no backward step"),
             Op::MatMul(a, b) => Plan::MatMul(*a, *b),
             Op::Spmm { adj, x, kernel } => Plan::Spmm(Rc::clone(adj), *x, *kernel),
             Op::SpmmSliced { adj, x, s_per } => Plan::SpmmSliced(Rc::clone(adj), *x, *s_per),
@@ -957,25 +1021,24 @@ impl Tape {
             Op::Tanh(x) => Plan::Tanh(*x),
             Op::Relu(x) => Plan::Relu(*x),
             Op::ConcatCols(parts) => Plan::Concat(parts.clone()),
-            Op::SliceCols { x, from } => Plan::Slice(*x, *from),
+            Op::SliceCols { x, from } => Plan::Slice(*x, 0, *from),
             Op::ConcatRows(parts) => Plan::ConcatR(parts.clone()),
-            Op::SliceRows { x, from } => Plan::SliceR(*x, *from),
+            Op::SliceRows { x, from } => Plan::Slice(*x, *from, 0),
         };
 
         match plan {
-            Plan::None => {}
             Plan::MatMul(a, b) => {
                 if self.requires(a) {
                     let da = {
                         let bm = self.dev(b);
-                        k::gemm_nt_device(gpu, s, &g, &bm, cat)?
+                        k::gemm_nt_device(gpu, s, g, &bm, cat)?
                     };
                     self.accumulate(gpu, a, da)?;
                 }
                 if self.requires(b) {
                     let db = {
                         let am = self.dev(a);
-                        k::gemm_tn_device(gpu, s, &am, &g, cat)?
+                        k::gemm_tn_device(gpu, s, &am, g, cat)?
                     };
                     self.accumulate(gpu, b, db)?;
                 }
@@ -985,8 +1048,8 @@ impl Tape {
                     // Symmetric adjacency: dX = Aᵀ g = A g.
                     let handle = k::DeviceCsr::resident(adj);
                     let dx = match kernel {
-                        AggregationKernel::CooScatter => k::spmm_coo_scatter(gpu, s, &handle, &g)?,
-                        AggregationKernel::GeSpmm => k::spmm_gespmm(gpu, s, &handle, &g)?,
+                        AggregationKernel::CooScatter => k::spmm_coo_scatter(gpu, s, &handle, g)?,
+                        AggregationKernel::GeSpmm => k::spmm_gespmm(gpu, s, &handle, g)?,
                     };
                     self.accumulate(gpu, x, dx)?;
                 }
@@ -994,7 +1057,7 @@ impl Tape {
             Plan::SpmmSliced(adj, x, s_per) => {
                 if self.requires(x) {
                     let handle = k::DeviceSliced::resident(adj);
-                    let dx = k::spmm_sliced_parallel(gpu, s, &handle, &g, s_per)?;
+                    let dx = k::spmm_sliced_parallel(gpu, s, &handle, g, s_per)?;
                     self.accumulate(gpu, x, dx)?;
                 }
             }
@@ -1003,7 +1066,7 @@ impl Tape {
                     // dX = adjᵀ g via the stored transpose — no symmetry
                     // assumption for rectangular slices.
                     let handle = k::DeviceSliced::resident(adj_t);
-                    let dx = k::spmm_sliced_parallel(gpu, s, &handle, &g, 1)?;
+                    let dx = k::spmm_sliced_parallel(gpu, s, &handle, g, 1)?;
                     self.accumulate(gpu, x, dx)?;
                 }
             }
@@ -1012,7 +1075,7 @@ impl Tape {
                 // adjacency maps it back: one parallel pass over the overlap
                 // plus per-member exclusive passes.
                 let size = xs.len();
-                let g_scaled = k::row_scale_multi(gpu, s, &g, &inv_degs, cat)?;
+                let g_scaled = k::row_scale_multi(gpu, s, g, &inv_degs, cat)?;
                 let over_grad = if let Some(ov) = overlap.as_ref().filter(|_| size > 1) {
                     let handle = k::DeviceSliced::resident(Rc::clone(ov));
                     Some(k::spmm_sliced_parallel(gpu, s, &handle, &g_scaled, size)?)
@@ -1068,7 +1131,7 @@ impl Tape {
             }
             Plan::RowScale(x, factors) => {
                 if self.requires(x) {
-                    let dx = k::row_scale(gpu, s, &g, &factors, cat)?;
+                    let dx = k::row_scale(gpu, s, g, &factors, cat)?;
                     self.accumulate(gpu, x, dx)?;
                 }
             }
@@ -1086,7 +1149,7 @@ impl Tape {
                 let weighted_t = weighted.transpose();
                 if self.requires(x) {
                     let handle = k::DeviceCsr::resident(Rc::new(weighted_t.clone()));
-                    let dx = k::spmm_weighted(gpu, s, &handle, weighted_t.values(), &g)?;
+                    let dx = k::spmm_weighted(gpu, s, &handle, weighted_t.values(), g)?;
                     self.accumulate(gpu, x, dx)?;
                 }
                 if self.requires(l) || self.requires(r) {
@@ -1150,18 +1213,16 @@ impl Tape {
             Plan::Add(a, b) => {
                 for p in [a, b] {
                     if self.requires(p) {
-                        let dp = k::scale(gpu, s, &g, 1.0, cat)?;
-                        self.accumulate(gpu, p, dp)?;
+                        self.accumulate(gpu, p, Rc::clone(g))?;
                     }
                 }
             }
             Plan::Sub(a, b) => {
                 if self.requires(a) {
-                    let da = k::scale(gpu, s, &g, 1.0, cat)?;
-                    self.accumulate(gpu, a, da)?;
+                    self.accumulate(gpu, a, Rc::clone(g))?;
                 }
                 if self.requires(b) {
-                    let db = k::scale(gpu, s, &g, -1.0, cat)?;
+                    let db = k::scale(gpu, s, g, -1.0, cat)?;
                     self.accumulate(gpu, b, db)?;
                 }
             }
@@ -1169,31 +1230,30 @@ impl Tape {
                 if self.requires(a) {
                     let da = {
                         let bm = self.dev(b);
-                        k::hadamard(gpu, s, &g, &bm, cat)?
+                        k::hadamard(gpu, s, g, &bm, cat)?
                     };
                     self.accumulate(gpu, a, da)?;
                 }
                 if self.requires(b) {
                     let db = {
                         let am = self.dev(a);
-                        k::hadamard(gpu, s, &g, &am, cat)?
+                        k::hadamard(gpu, s, g, &am, cat)?
                     };
                     self.accumulate(gpu, b, db)?;
                 }
             }
             Plan::AffineConst(x, mul) => {
                 if self.requires(x) {
-                    let dx = k::scale(gpu, s, &g, mul, cat)?;
+                    let dx = k::scale(gpu, s, g, mul, cat)?;
                     self.accumulate(gpu, x, dx)?;
                 }
             }
             Plan::AddBias(x, b) => {
                 if self.requires(x) {
-                    let dx = k::scale(gpu, s, &g, 1.0, cat)?;
-                    self.accumulate(gpu, x, dx)?;
+                    self.accumulate(gpu, x, Rc::clone(g))?;
                 }
                 if self.requires(b) {
-                    let db = k::col_sums(gpu, s, &g, cat)?;
+                    let db = k::col_sums(gpu, s, g, cat)?;
                     self.accumulate(gpu, b, db)?;
                 }
             }
@@ -1201,7 +1261,7 @@ impl Tape {
                 if self.requires(x) {
                     let dx = {
                         let out = self.dev(v);
-                        k::sigmoid_grad_from_out(gpu, s, &out, &g, cat)?
+                        k::sigmoid_grad_from_out(gpu, s, &out, g, cat)?
                     };
                     self.accumulate(gpu, x, dx)?;
                 }
@@ -1210,7 +1270,7 @@ impl Tape {
                 if self.requires(x) {
                     let dx = {
                         let out = self.dev(v);
-                        k::tanh_grad_from_out(gpu, s, &out, &g, cat)?
+                        k::tanh_grad_from_out(gpu, s, &out, g, cat)?
                     };
                     self.accumulate(gpu, x, dx)?;
                 }
@@ -1219,7 +1279,7 @@ impl Tape {
                 if self.requires(x) {
                     let dx = {
                         let xin = self.dev(x);
-                        k::relu_grad_mask(gpu, s, &xin, &g, cat)?
+                        k::relu_grad_mask(gpu, s, &xin, g, cat)?
                     };
                     self.accumulate(gpu, x, dx)?;
                 }
@@ -1229,7 +1289,7 @@ impl Tape {
                 for p in parts {
                     let w = self.shape(p).1;
                     if self.requires(p) {
-                        let dp = k::slice_cols(gpu, s, &g, off, off + w, cat)?;
+                        let dp = k::slice_cols(gpu, s, g, off, off + w, cat)?;
                         self.accumulate(gpu, p, dp)?;
                     }
                     off += w;
@@ -1240,40 +1300,18 @@ impl Tape {
                 for p in parts {
                     let h = self.shape(p).0;
                     if self.requires(p) {
-                        let dp = k::slice_rows(gpu, s, &g, off, off + h, cat)?;
+                        let dp = k::slice_rows(gpu, s, g, off, off + h, cat)?;
                         self.accumulate(gpu, p, dp)?;
                     }
                     off += h;
                 }
             }
-            Plan::SliceR(x, from) => {
+            Plan::Slice(x, row0, col0) => {
                 if self.requires(x) {
-                    // View gradient: scatter into a zero parent (no kernel —
-                    // the forward was a view; see kernels' concat_cols docs).
-                    let (rows, cols) = self.shape(x);
-                    let mut padded = Matrix::zeros_in(rows, cols);
-                    for r in 0..g.rows() {
-                        padded.row_mut(from + r).copy_from_slice(g.host().row(r));
-                    }
-                    let dx = DeviceMatrix::alloc(gpu, padded)?;
-                    self.accumulate(gpu, x, dx)?;
-                }
-            }
-            Plan::Slice(x, from) => {
-                if self.requires(x) {
-                    // View gradient (no kernel).
-                    let (rows, cols) = self.shape(x);
-                    let mut padded = Matrix::zeros_in(rows, cols);
-                    for r in 0..rows {
-                        padded.row_mut(r)[from..from + g.cols()].copy_from_slice(g.host().row(r));
-                    }
-                    let dx = DeviceMatrix::alloc(gpu, padded)?;
-                    self.accumulate(gpu, x, dx)?;
+                    self.accumulate_slice(gpu, x, g, row0, col0)?;
                 }
             }
         }
-        // Restore the node's gradient (models may read it after backward).
-        self.nodes[v.0].grad = Some(g);
         Ok(())
     }
 
@@ -1285,9 +1323,16 @@ impl Tape {
                 m.release(gpu);
             }
             if let Some(g) = node.grad {
-                g.release(gpu);
+                release_grad(gpu, g);
             }
         }
+    }
+}
+
+/// Drop one gradient handle; the device buffer is released with the last.
+fn release_grad(gpu: &mut Gpu, g: Rc<DeviceMatrix>) {
+    if let Ok(m) = Rc::try_unwrap(g) {
+        m.release(gpu);
     }
 }
 
@@ -1819,6 +1864,149 @@ mod tests {
         tape.backward_mse(&mut gpu, h, &target).unwrap();
         let total = gpu.profiler().window(snap).kernel_launches;
         assert!(total > forward_launches, "backward must launch kernels");
+        tape.finish(&mut gpu);
+    }
+
+    /// Kernel launches named `name` since `snap`.
+    fn launches(gpu: &Gpu, snap: pipad_gpu_sim::ProfSnapshot, name: &str) -> usize {
+        gpu.profiler().samples()[snap.from..]
+            .iter()
+            .filter(|s| s.is_kernel() && s.name == name)
+            .count()
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn tiling_slices_accumulate_in_place_over_their_own_elements() {
+        let (mut gpu, s) = setup();
+        let cat = KernelCategory::Rnn;
+        let mut tape = Tape::new(s);
+        let p = tape.input_grad(DeviceMatrix::alloc(&mut gpu, Matrix::zeros(3, 8)).unwrap());
+        // Three slices; column 5 is covered by none of them.
+        let ranges = [(0, 2), (2, 5), (6, 8)];
+        let slices: Vec<Var> = ranges
+            .iter()
+            .map(|&(a, b)| tape.slice_cols(&mut gpu, p, a, b, cat).unwrap())
+            .collect();
+        let out = tape.concat_cols(&mut gpu, &slices, cat).unwrap();
+        let seed = uniform(&mut seeded_rng(70), 3, 7, 1.0);
+        let dm = DeviceMatrix::alloc(&mut gpu, seed.clone_in()).unwrap();
+        let snap = gpu.profiler().snapshot();
+        tape.backward_from(&mut gpu, out, dm).unwrap();
+
+        // Concat's backward hands each slice its seed columns verbatim, so
+        // the parent gradient is the seed re-tiled, with exact zeros in
+        // the uncovered column.
+        let g = tape.grad(p).expect("input_grad leaf keeps its gradient");
+        let mut expect = Matrix::zeros(3, 8);
+        let mut col = 0;
+        for &(a, b) in &ranges {
+            for r in 0..3 {
+                expect.row_mut(r)[a..b].copy_from_slice(&seed.row(r)[col..col + b - a]);
+            }
+            col += b - a;
+        }
+        assert_eq!(bits(&g), bits(&expect));
+        assert!((0..3).all(|r| g[(r, 5)].to_bits() == 0));
+
+        // The first slice lands in a zeroed buffer with no kernel; each
+        // later one is one `add_slice` over its own 3 × width elements.
+        assert_eq!(launches(&gpu, snap, "add"), 0);
+        assert_eq!(launches(&gpu, snap, "add_slice"), 2);
+        let w = gpu.profiler().window(snap);
+        assert_eq!(w.kernel_launches, 2);
+        let charged: u64 = [3u64, 2]
+            .iter()
+            .map(|&wd| (4 * 3 * 3 * wd).div_ceil(32))
+            .sum();
+        assert_eq!(w.gmem_transactions, charged);
+        tape.finish(&mut gpu);
+    }
+
+    #[test]
+    fn slice_into_a_shared_gradient_leaves_the_sibling_untouched() {
+        let (mut gpu, s) = setup();
+        let cat = KernelCategory::Rnn;
+        let mut tape = Tape::new(s);
+        let a = tape.input_grad(DeviceMatrix::alloc(&mut gpu, Matrix::zeros(2, 4)).unwrap());
+        let b = tape.input_grad(DeviceMatrix::alloc(&mut gpu, Matrix::zeros(2, 4)).unwrap());
+        let sl = tape.slice_cols(&mut gpu, a, 1, 3, cat).unwrap();
+        // Swept before `sl`: `a` and `b` first share one gradient buffer.
+        let h = tape.add(&mut gpu, a, b, cat).unwrap();
+        let out = tape.concat_cols(&mut gpu, &[h, sl], cat).unwrap();
+        let seed = uniform(&mut seeded_rng(71), 2, 6, 1.0);
+        let dm = DeviceMatrix::alloc(&mut gpu, seed.clone_in()).unwrap();
+        tape.backward_from(&mut gpu, out, dm).unwrap();
+
+        let upstream = seed.slice_cols(0, 4);
+        assert_eq!(bits(&tape.grad(b).unwrap()), bits(&upstream));
+        let mut expect = upstream.clone_in();
+        for r in 0..2 {
+            for c in 1..3 {
+                expect[(r, c)] += seed[(r, 4 + c - 1)];
+            }
+        }
+        assert_eq!(bits(&tape.grad(a).unwrap()), bits(&expect));
+        tape.finish(&mut gpu);
+    }
+
+    #[test]
+    fn pass_through_ops_share_the_upstream_gradient_without_copying() {
+        let (mut gpu, s) = setup();
+        let cat = KernelCategory::Rnn;
+        let bias = shared(&mut gpu, uniform(&mut seeded_rng(72), 1, 3, 1.0));
+        let mut tape = Tape::new(s);
+        let a = tape.input_grad(DeviceMatrix::alloc(&mut gpu, Matrix::full(4, 3, 1.0)).unwrap());
+        let b = tape.input_grad(DeviceMatrix::alloc(&mut gpu, Matrix::full(4, 3, 2.0)).unwrap());
+        let c = tape.input(DeviceMatrix::alloc(&mut gpu, Matrix::full(4, 3, 3.0)).unwrap());
+        let bv = tape.param(&bias);
+        let h = tape.add(&mut gpu, a, b, cat).unwrap();
+        let h = tape.add_bias(&mut gpu, h, bv, cat).unwrap();
+        let h = tape.sub(&mut gpu, h, c, cat).unwrap();
+        let seed = uniform(&mut seeded_rng(73), 4, 3, 1.0);
+        let dm = DeviceMatrix::alloc(&mut gpu, seed.clone_in()).unwrap();
+        let snap = gpu.profiler().snapshot();
+        tape.backward_from(&mut gpu, h, dm).unwrap();
+
+        // Sub's left side, add_bias's input and both add inputs all see
+        // the seed itself; only the bias reduction launches a kernel.
+        let (ga, gb) = (tape.grad(a).unwrap(), tape.grad(b).unwrap());
+        assert_eq!(bits(&ga), bits(&seed));
+        assert_eq!(bits(&gb), bits(&seed));
+        assert_eq!(launches(&gpu, snap, "scale"), 0);
+        assert_eq!(launches(&gpu, snap, "col_sums"), 1);
+        assert_eq!(gpu.profiler().window(snap).kernel_launches, 1);
+        tape.finish(&mut gpu);
+    }
+
+    #[test]
+    fn only_leaves_keep_their_gradients_after_backward() {
+        let (mut gpu, s) = setup();
+        let cat = KernelCategory::Update;
+        let w = shared(&mut gpu, uniform(&mut seeded_rng(74), 3, 2, 1.0));
+        let mut tape = Tape::new(s);
+        let x = tape
+            .input(DeviceMatrix::alloc(&mut gpu, uniform(&mut seeded_rng(75), 4, 3, 1.0)).unwrap());
+        let halo = tape.input_grad(DeviceMatrix::alloc(&mut gpu, Matrix::full(4, 2, 0.5)).unwrap());
+        let wv = tape.param(&w);
+        let h = tape.matmul(&mut gpu, x, wv, cat).unwrap();
+        let h2 = tape.add(&mut gpu, h, halo, cat).unwrap();
+        let h3 = tape.tanh(&mut gpu, h2, cat).unwrap();
+        let before = gpu.mem().in_use();
+        let seed = DeviceMatrix::alloc(&mut gpu, Matrix::full(4, 2, 1.0)).unwrap();
+        tape.backward_from(&mut gpu, h3, seed).unwrap();
+
+        for v in [h, h2, h3] {
+            assert!(tape.grad(v).is_none(), "interior gradient kept");
+        }
+        assert!(tape.grad(x).is_none());
+        assert_eq!(tape.grad(wv).unwrap().shape(), (3, 2));
+        assert_eq!(tape.grad(halo).unwrap().shape(), (4, 2));
+        // What stays resident is exactly the two leaf gradients.
+        assert_eq!(gpu.mem().in_use() - before, 4 * (3 * 2 + 4 * 2));
         tape.finish(&mut gpu);
     }
 

@@ -46,12 +46,15 @@ const EVERY_EPOCHS: usize = 2;
 /// The guarded metrics: flat key (as produced by
 /// [`MetricsRegistry::flat`]), absolute tolerance, relative tolerance.
 /// A current value passes iff `|cur − base| ≤ tol_abs + tol_rel·|base|`.
-const SENTINEL: [(&str, f64, f64); 7] = [
+/// The overlap and allreduce milli-fractions are deterministic simulated
+/// quantities, so their bands are ±1 (one rounding step): a run with no
+/// overlap at all fails.
+const SENTINEL: [(&str, f64, f64); 8] = [
     // Pipelining quality: compute↔transfer overlap in the steady window
     // (milli-fraction of transfer time hidden under kernels).
     (
         "pipad_overlap_fraction_milli{method=\"PiPAD\",window=\"steady\"}",
-        50.0,
+        1.0,
         0.0,
     ),
     // Kernel-time SM utilization of the steady window.
@@ -73,10 +76,18 @@ const SENTINEL: [(&str, f64, f64); 7] = [
     // Serving tail latency (log2-bucket p95, simulated ns).
     ("pipad_serve_latency_ns_p95", 0.0, 0.10),
     // Multi-GPU communication share: allreduce time per steady epoch.
-    ("pipad_mgpu_allreduce_fraction_milli{gpus=\"2\"}", 50.0, 0.0),
+    ("pipad_mgpu_allreduce_fraction_milli{gpus=\"2\"}", 1.0, 0.0),
     // Multi-GPU end-to-end steady epoch time (CUDA-graph replay in steady
     // epochs; reverting to per-kernel launches multiplies it ~6×).
     ("pipad_mgpu_steady_epoch_ns{gpus=\"2\"}", 0.0, 0.10),
+    // Peak device memory of the PiPAD run: the reverse sweep frees each
+    // interior gradient after its own step (keeping them until the tape
+    // finishes raises this peak ~1.26× at tiny scale).
+    (
+        "pipad_counter_peak{method=\"PiPAD\",counter=\"device_mem_in_use\"}",
+        0.0,
+        0.01,
+    ),
 ];
 
 /// Everything `repro profile` produces.

@@ -38,6 +38,12 @@ impl DeviceMatrix {
     }
 
     #[inline]
+    /// Mutable host-side view, for kernels that update a buffer in place.
+    pub fn host_mut(&mut self) -> &mut Matrix {
+        &mut self.host
+    }
+
+    #[inline]
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.host.rows()

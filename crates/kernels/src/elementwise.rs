@@ -108,6 +108,40 @@ pub fn scale(
     unary(gpu, stream, "scale", category, a, 1, |x| x * s)
 }
 
+/// In-place `dst[row0.., col0..] += src` over `src`'s extent — a slice's
+/// gradient accumulating into its parent's. One streaming kernel over the
+/// slice's own elements: the rest of `dst` is neither read nor written.
+pub fn add_slice(
+    gpu: &mut Gpu,
+    stream: StreamId,
+    dst: &mut DeviceMatrix,
+    src: &DeviceMatrix,
+    row0: usize,
+    col0: usize,
+    category: KernelCategory,
+) {
+    let (rows, width) = (src.rows(), src.cols());
+    assert!(
+        row0 + rows <= dst.rows() && col0 + width <= dst.cols(),
+        "slice out of bounds"
+    );
+    let n = src.host().len() as u64;
+    gpu.launch(stream, streaming_cost("add_slice", category, 2 * n, n, 1));
+    let cols = dst.cols();
+    let shared = pool::DisjointMut::new(dst.host_mut().as_mut_slice());
+    let s = src.host();
+    pool::parallel_for(rows, rows_per_band(width), |row_range| {
+        for r in row_range {
+            let at = (row0 + r) * cols + col0;
+            // SAFETY: bands own disjoint destination-row ranges.
+            let row = unsafe { shared.slice(at..at + width) };
+            for (d, &v) in row.iter_mut().zip(s.row(r)) {
+                *d += v;
+            }
+        }
+    });
+}
+
 /// Broadcast a `1 × n` bias row onto every row of `a`.
 pub fn add_bias(
     gpu: &mut Gpu,

@@ -90,7 +90,7 @@ impl DgnnModel for TGcn {
         let ur = binder.bind(tape, &self.u_r);
         let un = binder.bind(tape, &self.u_n);
 
-        let n_vertices = tape.host(zx[0]).rows();
+        let n_vertices = tape.shape(zx[0]).0;
         let mut h = tape.input(DeviceMatrix::alloc(
             gpu,
             Matrix::zeros(n_vertices, self.hidden),

@@ -4,25 +4,22 @@
 # Builds the workspace, lints it, runs the root test suite in a debug
 # build (so the debug-only consistency checks fire), runs the test suite
 # of every workspace crate in release (crate-level unit tests included),
-# then re-runs the determinism suites under forced thread counts
-# (PIPAD_THREADS=1 and =4): the host-parallel bit-exactness contract, the
-# trace-export byte-identity contract (golden Chrome-trace regression), the
-# allocation-budget gate (steady-state epochs must stay ≥95% below the
-# preparing epochs' hot-path heap allocations, under a pinned budget),
-# the buffer-pool kill-switch equivalence gate, the chaos gate
-# (`repro chaos` twice, diffing the fault-injection reports), the
-# resume gate (kill-and-resume bit-identity for every model, pool on and
-# off, threads 1 and 4, plus a `repro resume` report thread-diff), the
-# multi-GPU gate (loss trajectories bit-identical across device
-# counts for every model at both thread counts, plus a `repro multigpu`
-# scaling-report thread-diff), and the serving gate (served logits
-# bit-identical to the train-time forward at both thread counts and with
-# the buffer pool disabled, plus a `repro serve` report thread-diff),
-# the profile gate (`repro profile` exports byte-identical across thread
-# counts and with the buffer pool disabled), the perf-regression sentinel
-# (key profile metrics within tolerance of the committed baseline, plus a
-# negative test proving a seeded drift fails), and a rustdoc pass with
-# warnings denied.
+# then the allocation-budget gates (steady-state epochs must stay ≥95%
+# below the preparing epochs' hot-path heap allocations, under a pinned
+# budget) and the buffer-pool kill-switch equivalence gates. One loop then
+# runs, at each forced thread count (PIPAD_THREADS=1 and =4), the
+# host-parallel bit-exactness contract, the trace-export byte-identity
+# contract (golden Chrome-trace regression), the resume gate
+# (kill-and-resume bit-identity for every model, pool on and off), the
+# multi-GPU gate (loss trajectories bit-identical across device counts for
+# every model), the serving gate (served logits bit-identical to the
+# train-time forward) and the `repro` chaos, resume, multigpu, serve and
+# profile reports, which must come out byte-identical across thread
+# counts (profile also with the buffer pool disabled). Last come the
+# perf-regression sentinel (key profile metrics within tolerance of the
+# committed baseline, plus negative tests proving that a seeded drift and
+# a zero-overlap baseline both fail) and a rustdoc pass with warnings
+# denied.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,18 +38,6 @@ cargo test -q
 echo "== cargo test -q --release --workspace =="
 cargo test -q --release --workspace
 
-echo "== bit-exactness @ PIPAD_THREADS=1 =="
-PIPAD_THREADS=1 cargo test -q --test host_parallel_exactness
-
-echo "== bit-exactness @ PIPAD_THREADS=4 =="
-PIPAD_THREADS=4 cargo test -q --test host_parallel_exactness
-
-echo "== trace determinism @ PIPAD_THREADS=1 =="
-PIPAD_THREADS=1 cargo test -q --test trace_golden
-
-echo "== trace determinism @ PIPAD_THREADS=4 =="
-PIPAD_THREADS=4 cargo test -q --test trace_golden
-
 echo "== allocation budget (counting allocator, zero-alloc steady state) =="
 cargo test -q --release --test alloc_budget
 cargo test -q --release --test multigpu_alloc
@@ -60,77 +45,35 @@ cargo test -q --release --test multigpu_alloc
 echo "== pool equivalence (PIPAD_NO_POOL=1 bit-identity) =="
 PIPAD_NO_POOL=1 cargo test -q --test pool_equivalence
 
-echo "== chaos determinism (repro chaos @ PIPAD_THREADS=1 vs =4) =="
-scratch_dir="$(mktemp -d)"
-trap 'rm -rf "$scratch_dir"' EXIT
-PIPAD_THREADS=1 cargo run -q --release -p pipad-bench --bin repro -- \
-    chaos --scale tiny --out "$scratch_dir/t1"
-PIPAD_THREADS=4 cargo run -q --release -p pipad-bench --bin repro -- \
-    chaos --scale tiny --out "$scratch_dir/t4"
-diff "$scratch_dir/t1/chaos.json" "$scratch_dir/t4/chaos.json"
-diff "$scratch_dir/t1/chaos.txt" "$scratch_dir/t4/chaos.txt"
-echo "chaos report byte-identical across thread counts"
-
-echo "== resume equivalence (kill-and-resume bit-identity) @ PIPAD_THREADS=1 =="
-PIPAD_THREADS=1 cargo test -q --release --test resume_equivalence
-
-echo "== resume equivalence @ PIPAD_THREADS=4 =="
-PIPAD_THREADS=4 cargo test -q --release --test resume_equivalence
-
-echo "== resume determinism (repro resume @ PIPAD_THREADS=1 vs =4) =="
-PIPAD_THREADS=1 cargo run -q --release -p pipad-bench --bin repro -- \
-    resume --scale tiny --out "$scratch_dir/r1"
-PIPAD_THREADS=4 cargo run -q --release -p pipad-bench --bin repro -- \
-    resume --scale tiny --out "$scratch_dir/r4"
-diff "$scratch_dir/r1/resume.json" "$scratch_dir/r4/resume.json"
-diff "$scratch_dir/r1/resume.txt" "$scratch_dir/r4/resume.txt"
-echo "resume report byte-identical across thread counts"
-
-echo "== multi-GPU equivalence (bit-identical across device counts) @ PIPAD_THREADS=1 =="
-PIPAD_THREADS=1 cargo test -q --release --test multigpu_equivalence
-
-echo "== multi-GPU equivalence @ PIPAD_THREADS=4 =="
-PIPAD_THREADS=4 cargo test -q --release --test multigpu_equivalence
-
-echo "== multi-GPU determinism (repro multigpu @ PIPAD_THREADS=1 vs =4) =="
-PIPAD_THREADS=1 cargo run -q --release -p pipad-bench --bin repro -- \
-    multigpu --scale tiny --out "$scratch_dir/m1"
-PIPAD_THREADS=4 cargo run -q --release -p pipad-bench --bin repro -- \
-    multigpu --scale tiny --out "$scratch_dir/m4"
-diff "$scratch_dir/m1/multigpu.json" "$scratch_dir/m4/multigpu.json"
-diff "$scratch_dir/m1/multigpu.txt" "$scratch_dir/m4/multigpu.txt"
-echo "multigpu report byte-identical across thread counts"
-
-echo "== serve equivalence (served logits ≡ training forward) @ PIPAD_THREADS=1 =="
-PIPAD_THREADS=1 cargo test -q --release --test serve_equivalence
-
-echo "== serve equivalence @ PIPAD_THREADS=4 =="
-PIPAD_THREADS=4 cargo test -q --release --test serve_equivalence
-
 echo "== serve equivalence with the buffer pool disabled =="
 PIPAD_NO_POOL=1 cargo test -q --release --test serve_equivalence
 
-echo "== serve determinism (repro serve @ PIPAD_THREADS=1 vs =4) =="
-PIPAD_THREADS=1 cargo run -q --release -p pipad-bench --bin repro -- \
-    serve --scale tiny --out "$scratch_dir/s1"
-PIPAD_THREADS=4 cargo run -q --release -p pipad-bench --bin repro -- \
-    serve --scale tiny --out "$scratch_dir/s4"
-diff "$scratch_dir/s1/serve.json" "$scratch_dir/s4/serve.json"
-diff "$scratch_dir/s1/serve.txt" "$scratch_dir/s4/serve.txt"
-echo "serve report byte-identical across thread counts"
+scratch_dir="$(mktemp -d)"
+trap 'rm -rf "$scratch_dir"' EXIT
 
-echo "== profile determinism (repro profile @ PIPAD_THREADS=1 vs =4 vs PIPAD_NO_POOL=1) =="
-PIPAD_THREADS=1 cargo run -q --release -p pipad-bench --bin repro -- \
-    profile --scale tiny --out "$scratch_dir/p1"
-PIPAD_THREADS=4 cargo run -q --release -p pipad-bench --bin repro -- \
-    profile --scale tiny --out "$scratch_dir/p4"
-PIPAD_NO_POOL=1 cargo run -q --release -p pipad-bench --bin repro -- \
-    profile --scale tiny --out "$scratch_dir/p0"
-for ext in json prom txt; do
-    diff "$scratch_dir/p1/profile.$ext" "$scratch_dir/p4/profile.$ext"
-    diff "$scratch_dir/p1/profile.$ext" "$scratch_dir/p0/profile.$ext"
+# Every determinism suite and `repro` report, at each forced thread count.
+reports="chaos resume multigpu serve profile"
+for t in 1 4; do
+    echo "== determinism suites and reports @ PIPAD_THREADS=$t =="
+    PIPAD_THREADS=$t cargo test -q --test host_parallel_exactness
+    PIPAD_THREADS=$t cargo test -q --test trace_golden
+    for suite in resume_equivalence multigpu_equivalence serve_equivalence; do
+        PIPAD_THREADS=$t cargo test -q --release --test "$suite"
+    done
+    for exp in $reports; do
+        PIPAD_THREADS=$t cargo run -q --release -p pipad-bench --bin repro -- \
+            "$exp" --scale tiny --out "$scratch_dir/$exp-t$t"
+    done
 done
-echo "profile exports byte-identical across thread counts and with the pool disabled"
+PIPAD_NO_POOL=1 cargo run -q --release -p pipad-bench --bin repro -- \
+    profile --scale tiny --out "$scratch_dir/profile-nopool"
+
+echo "== report determinism (PIPAD_THREADS=1 vs =4; profile also vs PIPAD_NO_POOL=1) =="
+for exp in $reports; do
+    diff -r "$scratch_dir/$exp-t1" "$scratch_dir/$exp-t4"
+done
+diff -r "$scratch_dir/profile-t1" "$scratch_dir/profile-nopool"
+echo "reports byte-identical across thread counts and with the pool disabled"
 
 echo "== perf-regression sentinel (repro profile --baseline) =="
 cargo run -q --release -p pipad-bench --bin repro -- \
@@ -150,6 +93,24 @@ if cargo run -q --release -p pipad-bench --bin repro -- \
 fi
 grep -q "drifted" "$scratch_dir/sentinel_neg.log"
 echo "sentinel correctly rejected the seeded drift"
+
+echo "== perf-regression sentinel negative test (zero overlap must fail) =="
+# A baseline whose steady PiPAD overlap is 0 (no pipelining at all) must
+# not accept the current run, which overlaps.
+sed '/pipad_overlap_fraction_milli{method=\\"PiPAD\\",window=\\"steady\\"}/s/"value":[^,]*/"value":0.0/' \
+    tests/golden/profile_baseline.json > "$scratch_dir/zero_overlap_baseline.json"
+if cmp -s tests/golden/profile_baseline.json "$scratch_dir/zero_overlap_baseline.json"; then
+    echo "ERROR: zero-overlap edit did not apply" >&2
+    exit 1
+fi
+if cargo run -q --release -p pipad-bench --bin repro -- \
+    profile --scale tiny --out "$scratch_dir/pz" --baseline "$scratch_dir/zero_overlap_baseline.json" \
+    2> "$scratch_dir/sentinel_zero.log"; then
+    echo "ERROR: sentinel accepted a zero-overlap baseline" >&2
+    exit 1
+fi
+grep -q "pipad_overlap_fraction_milli.*drifted" "$scratch_dir/sentinel_zero.log"
+echo "sentinel correctly rejected the zero-overlap baseline"
 
 echo "== cargo doc --workspace --no-deps (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
